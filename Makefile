@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
 	analyze history-check service-check fleet-check tune-check slo-check \
-	verify
+	perfbench-check verify
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
@@ -117,10 +117,17 @@ slo-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_telemetry.py
 	PYTHONPATH=src $(PYTHON) -m repro slo --gate BENCH_slo.json
 
+# Unit tests of the wall-clock benchmark's instrument (span recorder,
+# statistics, correctness checks, traffic generator); they sit outside
+# the tier-1 testpaths.
+perfbench-check:
+	$(PYTHON) -m pytest -q perfbench/tests
+
 # Physics-invariant + golden + differential-conformance check on H2,
 # plus the perf-regression, documentation, history-trend, service,
-# fleet, tuner and telemetry gates (all tier-1 sized).
-# `python -m repro verify` (no args) covers both reference molecules.
+# fleet, tuner, telemetry and benchmark-instrument gates (all tier-1
+# sized).  `python -m repro verify` (no args) covers both reference
+# molecules.
 verify: bench-check docs-check history-check service-check fleet-check \
-		tune-check slo-check
+		tune-check slo-check perfbench-check
 	PYTHONPATH=src $(PYTHON) -m repro verify --molecule h2

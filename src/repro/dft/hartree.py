@@ -12,17 +12,27 @@ pipeline the paper optimizes:
    potential is two cumulative integrals computed with the
    Adams-Moulton linear multistep quadrature (the loop that Section 4.4
    collapses), then splined: ``delta_v_hart_part_spl``.
-3. **Back-interpolation** — the total potential at any point is the sum
-   of splined atom-centered partial potentials plus analytic multipole
-   far fields (the producer/consumer kernel pair of Section 4.2).
+3. **Back-interpolation** — the total potential is the sum of splined
+   atom-centered partial potentials inside each atom's radial mesh plus
+   analytic ``q_lm / r^(l+1)`` far fields outside it (the
+   producer/consumer kernel pair of Section 4.2).  On the grid, the
+   density-independent part of that sum is a per-atom stencil built on
+   the first grid evaluation: a sparse matrix ``W`` holding the four
+   natural-cubic weights of every near point, the harmonics of the near
+   points, and the far-field matrix ``F``.  Each call is then one
+   sparse product ``W @ [y; y'']`` and one dense ``F @ q_lm`` per atom,
+   reusing the geometry the way Alg. 1 reuses spline coefficients.
+   Arbitrary points go through :class:`CubicSpline` directly; that path
+   is the independent reference for the stencil.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.basis.spline import CubicSpline
 from repro.basis.ylm import n_lm, real_spherical_harmonics
@@ -117,13 +127,53 @@ class MultipoleExpansion:
         return int(sum(s.coefficient_nbytes for s in self.potential_splines))
 
 
+@dataclass
+class GridStencil:
+    """Density-independent back-interpolation data of one atom.
+
+    Attributes
+    ----------
+    near:
+        Indices of the grid points inside the atom's radial mesh.
+    weights:
+        CSR ``(n_near, 2 n_knots)``: per near point, the natural-cubic
+        weights ``a, b`` on the two bracketing knot values and
+        ``(a^3 - a) h^2/6, (b^3 - b) h^2/6`` on their second
+        derivatives, so ``weights @ [y; y'']`` is the spline value.
+    y_near:
+        ``(n_near, n_lm)`` real harmonics of the near points.
+    far:
+        Indices of the grid points outside the radial mesh.
+    far_field:
+        ``(n_far, n_lm)`` matrix ``Y 4 pi / (2l+1) / r^(l+1)``, so
+        ``far_field @ q_lm`` is the analytic far field.
+    """
+
+    near: np.ndarray
+    weights: sparse.csr_matrix
+    y_near: np.ndarray
+    far: np.ndarray
+    far_field: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stencil arrays."""
+        w = self.weights
+        return int(
+            self.near.nbytes + w.data.nbytes + w.indices.nbytes
+            + w.indptr.nbytes + self.y_near.nbytes
+            + self.far.nbytes + self.far_field.nbytes
+        )
+
+
 class MultipoleSolver:
     """Poisson solver bound to one structure + integration grid.
 
-    The constructor precomputes everything density-independent (angular
-    harmonics on the shared angular rule, per-atom point bookkeeping,
-    point->atom distances and harmonics for back-interpolation), so both
-    the ground-state cycle and every CPSCF iteration reuse it.
+    The constructor precomputes the density-independent data of the
+    projection (angular harmonics on the shared angular rule, per-atom
+    point bookkeeping).  The back-interpolation stencil of each atom is
+    built on the first grid evaluation, so constructing a solver stays
+    cheap, and every later SCF and CPSCF evaluation reuses it.
     """
 
     def __init__(self, grid: IntegrationGrid, l_max: int) -> None:
@@ -162,9 +212,8 @@ class MultipoleSolver:
         self._y_ang = real_spherical_harmonics(ang_dirs, l_max)  # (n_ang, n_lm)
         self._w_ang = grid.angular_weights[first][: self._n_ang]
 
-        # Per-atom: distances and harmonics of *all* grid points w.r.t.
-        # that atom (the consumer-kernel geometry), computed lazily.
-        self._eval_cache: List[Optional[tuple]] = [None] * n_atoms
+        # Per-atom back-interpolation stencils, built on first use.
+        self._stencils: List[Optional[GridStencil]] = [None] * n_atoms
 
     # ------------------------------------------------------------------
     # Stage 1: multipole projection
@@ -225,42 +274,80 @@ class MultipoleSolver:
     # ------------------------------------------------------------------
     # Stage 3: back-interpolation (the consumer kernel)
     # ------------------------------------------------------------------
-    def _eval_geometry(self, atom: int, points: Optional[np.ndarray] = None):
-        """(r, Y) of evaluation points w.r.t. one atom (cached for the grid)."""
-        if points is None:
-            if self._eval_cache[atom] is None:
-                d = self.grid.points - self.structure.coords[atom]
-                r = np.linalg.norm(d, axis=1)
-                y = real_spherical_harmonics(d, self.l_max)
-                self._eval_cache[atom] = (r, y)
-            return self._eval_cache[atom]
-        d = np.atleast_2d(points) - self.structure.coords[atom]
-        return np.linalg.norm(d, axis=1), real_spherical_harmonics(d, self.l_max)
+    def stencil(self, atom: int) -> GridStencil:
+        """The grid back-interpolation stencil of one atom (built once)."""
+        st = self._stencils[atom]
+        if st is not None:
+            return st
+        d = self.grid.points - self.structure.coords[atom]
+        r = np.linalg.norm(d, axis=1)
+        y = real_spherical_harmonics(d, self.l_max)
+        x = self.grid.shell_radii[atom]
+        n_knots = x.shape[0]
+        inside = r <= x[-1]
+        near = np.flatnonzero(inside).astype(np.int32)
+        far = np.flatnonzero(~inside).astype(np.int32)
+
+        # CubicSpline's knot search and its clamp below the first shell.
+        t = r[near]
+        idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, n_knots - 2)
+        t = np.maximum(t, x[0])
+        x0 = x[idx]
+        x1 = x[idx + 1]
+        h = x1 - x0
+        a = (x1 - t) / h
+        b = (t - x0) / h
+        h2_6 = h**2 / 6.0
+        vals = np.stack([a, b, (a**3 - a) * h2_6, (b**3 - b) * h2_6], axis=1)
+        cols = np.stack([idx, idx + 1, n_knots + idx, n_knots + idx + 1], axis=1)
+        weights = sparse.csr_matrix(
+            (vals.ravel(), cols.ravel().astype(np.int32),
+             np.arange(0, 4 * near.size + 1, 4, dtype=np.int32)),
+            shape=(near.size, 2 * n_knots),
+        )
+
+        rf = r[far]
+        far_field = y[far] * (
+            self._pref[None, :] / rf[:, None] ** (self._l_of_lm[None, :] + 1.0)
+        )
+        st = GridStencil(near=near, weights=weights, y_near=y[near],
+                         far=far, far_field=far_field)
+        self._stencils[atom] = st
+        return st
 
     def evaluate(
         self,
         expansion: MultipoleExpansion,
         points: Optional[np.ndarray] = None,
-        atoms: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Total Hartree potential at grid points (default) or any points.
 
         Sums splined partial potentials inside each atom's radial mesh
-        and the analytic ``q_lm / r^(l+1)`` far field outside.
+        and the analytic ``q_lm / r^(l+1)`` far field outside.  Grid
+        points go through each atom's cached :meth:`stencil`; other
+        points are located and splined afresh with :class:`CubicSpline`.
         """
         if expansion.potential_splines is None:
             raise GridError("expansion not solved; call solve() first")
-        n_pts = self.grid.n_points if points is None else np.atleast_2d(points).shape[0]
-        v = np.zeros(n_pts)
+        if points is None:
+            v = np.zeros(self.grid.n_points)
+            for a, spl in enumerate(expansion.potential_splines):
+                st = self.stencil(a)
+                vr = st.weights @ np.concatenate([spl.y, spl.m])
+                v[st.near] += np.einsum("ij,ij->i", vr, st.y_near)
+                v[st.far] += st.far_field @ expansion.far_moments[a]
+            return v
+
+        pts = np.atleast_2d(points)
+        v = np.zeros(pts.shape[0])
         l_arr = self._l_of_lm
-        atom_iter = range(self.structure.n_atoms) if atoms is None else atoms
-        for a in atom_iter:
-            r, y = self._eval_geometry(a, points)
-            r_max = self.grid.shell_radii[a][-1]
-            near = r <= r_max
+        for a, spl in enumerate(expansion.potential_splines):
+            d = pts - self.structure.coords[a]
+            r = np.linalg.norm(d, axis=1)
+            y = real_spherical_harmonics(d, self.l_max)
+            near = r <= self.grid.shell_radii[a][-1]
             if np.any(near):
-                vr = expansion.potential_splines[a](r[near])  # (n_near, n_lm)
-                v[near] += np.einsum("ij,ij->i", vr, y[near])
+                v[near] += np.einsum("ij,ij->i", spl(r[near]), y[near])
             far = ~near
             if np.any(far):
                 q = expansion.far_moments[a]

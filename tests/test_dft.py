@@ -1,11 +1,19 @@
 """DFT substrate: xc, Hartree solver, matrix builder, mixing, SCF."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
+from repro.atoms import (
+    hydrogen_molecule,
+    polyethylene,
+    polyethylene_units_for_atoms,
+    water,
+)
 from repro.basis import build_basis
+from repro.basis.ylm import n_lm
 from repro.config import get_settings
 from repro.dft import (
     MatrixBuilder,
@@ -120,6 +128,67 @@ class TestMultipoleSolver:
         exp = solver.solve(solver.expand(np.ones(grid.n_points)))
         assert exp.rho_multipole_nbytes > 0
         assert exp.potential_spline_nbytes > 0
+
+
+@pytest.fixture(scope="module")
+def pe20_ground_state(minimal_settings):
+    """Converged 20-atom polyethylene ground state (minimal settings)."""
+    chain = polyethylene(polyethylene_units_for_atoms(20))
+    return SCFDriver(chain, minimal_settings).run()
+
+
+class TestHartreeGridStencil:
+    """The cached grid stencil against the ``CubicSpline`` points path."""
+
+    @pytest.fixture(params=["water", "pe20"])
+    def ground_state(self, request):
+        return request.getfixturevalue(f"{request.param}_ground_state")
+
+    @staticmethod
+    def _clamped_grid(grid, n_moved=8):
+        """The grid with the last atom's outermost points moved inside
+        the first shell of atom 0, so the grid path meets the clamp."""
+        x0 = grid.shell_radii[0][0]
+        rng = np.random.default_rng(7)
+        dirs = rng.standard_normal((n_moved, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radii = x0 * np.linspace(0.1, 0.9, n_moved)
+        points = grid.points.copy()
+        points[-n_moved:] = grid.structure.coords[0] + radii[:, None] * dirs
+        return dataclasses.replace(grid, points=points)
+
+    @pytest.mark.parametrize("kind", ["ground_state", "response"])
+    def test_grid_path_matches_points_path(self, ground_state, kind, rng):
+        gs = ground_state
+        grid = self._clamped_grid(gs.grid)
+        solver = MultipoleSolver(grid, gs.solver.l_max)
+        if kind == "ground_state":
+            n = gs.density
+        else:
+            n = gs.density * rng.standard_normal(grid.n_points)
+        expansion = solver.solve(solver.expand(n))
+
+        v = solver.evaluate(expansion)
+        ref = solver.evaluate(expansion, points=grid.points)
+        assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(solver.evaluate(expansion), v)
+
+        # Every regime of the stencil was exercised: clamp, near, far.
+        stencils = [solver.stencil(a) for a in range(gs.structure.n_atoms)]
+        r0 = np.linalg.norm(
+            grid.points[stencils[0].near] - gs.structure.coords[0], axis=1
+        )
+        assert np.count_nonzero(r0 < 0.95 * grid.shell_radii[0][0]) >= 8
+        assert all(st.near.size > 0 for st in stencils)
+        assert sum(st.far.size for st in stencils) > 0
+
+    def test_stencil_memory_bound(self, ground_state):
+        """Each atom's stencil stays within 1.3x the plain (r, Y) cache."""
+        gs = ground_state
+        solver = gs.solver
+        plain = gs.grid.n_points * (n_lm(solver.l_max) + 1) * 8
+        for a in range(gs.structure.n_atoms):
+            assert solver.stencil(a).nbytes <= 1.3 * plain
 
 
 class TestMatrixBuilder:
