@@ -5,7 +5,7 @@ PYTHON ?= python
 
 .PHONY: test chaos smoke bench-smoke bench-check docs-check docs trace \
 	analyze history-check service-check fleet-check tune-check slo-check \
-	perfbench-check verify
+	perfbench-check perfbench verify
 
 # Tier-1: the fast default profile (chaos sweeps deselected via addopts).
 test:
@@ -122,6 +122,22 @@ slo-check:
 # the tier-1 testpaths.
 perfbench-check:
 	$(PYTHON) -m pytest -q perfbench/tests
+
+# The wall-clock benchmark itself: one traced run (an untraced and a
+# traced repetition) of every BENCHMARK.json workload, failing unless
+# each run's last output line reports "correct": true.  Takes ~2 min,
+# so it is not part of `make verify`.
+perfbench:
+	@set -e; \
+	for w in $$($(PYTHON) -c "import json; print(*(w['name'] for w in \
+			json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		echo "perfbench: $$w"; \
+		last=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 20 --trace 1 | tail -n 1); \
+		echo "$$last"; \
+		echo "$$last" | $(PYTHON) -c "import json, sys; \
+			sys.exit(json.load(sys.stdin).get('correct') is not True)"; \
+	done
 
 # Physics-invariant + golden + differential-conformance check on H2,
 # plus the perf-regression, documentation, history-trend, service,

@@ -26,9 +26,9 @@ class NumpyBackend(ExecutionBackend):
     def basis_block(self, batch: GridBatch) -> np.ndarray:
         builder = self._require_bound()
         if builder.table_cache_enabled:
-            # Rows were written by exactly the same per-batch evaluation
-            # this slice replays, so the values are bitwise identical to
-            # a fresh evaluation — the parity anchor for all backends.
+            # Basis evaluation is pointwise, so the table's rows (written
+            # per point group) are bitwise identical to a fresh per-batch
+            # evaluation — the parity anchor for all backends.
             return builder.basis_values()[batch.point_indices]
         return self._evaluate_block(batch)
 

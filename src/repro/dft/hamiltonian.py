@@ -4,7 +4,10 @@ A :class:`MatrixBuilder` binds a basis set to an integration grid and
 produces the density-independent matrices once (overlap, kinetic,
 nuclear attraction, dipole) plus cheap re-integration of potential
 matrices every SCF/CPSCF cycle — the computational pattern of the
-paper's "H" phase, executed batch by batch.
+paper's "H" phase.  Set-up evaluates the basis once per shell over
+point groups (consecutive batches packed under an element budget);
+the per-batch structure survives in every contraction's summation
+order.
 
 All grid contractions dispatch through the builder's
 :class:`~repro.backends.base.ExecutionBackend` (``numpy`` by default),
@@ -16,7 +19,16 @@ across all three.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -30,6 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Cache chi(point) tables when n_points * n_basis stays below this.
 _CACHE_LIMIT: int = 40_000_000
+
+#: Element budget of one grouped basis evaluation: a point group's
+#: gradient block (points x n_basis x 3 float64) stays at or below it.
+_GROUP_LIMIT: int = 1_000_000
+
+#: One point group: its concatenated point indices, the sorted union of
+#: its batches' atoms, and each member batch with its rows in the block.
+_PointGroup = Tuple[np.ndarray, List[int], List[Tuple[GridBatch, slice]]]
 
 
 class MatrixBuilder:
@@ -112,7 +132,12 @@ class MatrixBuilder:
     # Basis tables
     # ------------------------------------------------------------------
     def basis_values(self) -> np.ndarray:
-        """chi_mu at every grid point, ``(n_points, n_basis)`` (cached)."""
+        """chi_mu at every grid point, ``(n_points, n_basis)`` (cached).
+
+        Evaluated once per shell over each point group of
+        :meth:`_point_groups`; bitwise identical to evaluating batch by
+        batch over each batch's ``relevant_atoms``.
+        """
         if self._values_cache is None:
             if not self._use_cache and not self._thrash_warned:
                 self._thrash_warned = True
@@ -126,15 +151,45 @@ class MatrixBuilder:
                     stacklevel=2,
                 )
             values = np.zeros((self.grid.n_points, self.basis.n_basis))
-            for b in self.batches:
-                idx = b.point_indices
-                values[idx] = self.basis.evaluate(
-                    self.grid.points[idx], atoms=b.relevant_atoms
-                )
+            for idx, atoms, _ in self._point_groups(lambda b: b.relevant_atoms):
+                values[idx] = self.basis.evaluate(self.grid.points[idx], atoms=atoms)
             if not self._use_cache:
                 return values
             self._values_cache = values
         return self._values_cache
+
+    def _point_groups(
+        self, atoms_of: Callable[[GridBatch], Optional[Sequence[int]]]
+    ) -> Iterator[_PointGroup]:
+        """Consecutive batches packed into point groups under ``_GROUP_LIMIT``.
+
+        ``atoms_of(batch)`` names the atoms to evaluate for a batch, or
+        ``None`` to leave the batch out.  A group is evaluated over the
+        union of its batches' atoms.  Per-shell evaluation is pointwise,
+        so a batch's rows hold, in the columns of its own atoms, the
+        values a per-batch evaluation gives, bit for bit.  With
+        ``relevant_atoms`` the other columns are zero as well: an atom
+        outside that set has no function reaching the batch's bounding
+        sphere.  Callers passing a narrower set read only its columns.
+        A single batch above the budget forms a group of its own.
+        """
+        per_point = 3 * self.basis.n_basis
+        groups: List[List[GridBatch]] = []
+        n = 0
+        for b in self.batches:
+            if atoms_of(b) is None:
+                continue
+            if not groups or (n + b.n_points) * per_point > _GROUP_LIMIT:
+                groups.append([])
+                n = 0
+            groups[-1].append(b)
+            n += b.n_points
+        for group in groups:
+            idx = np.concatenate([b.point_indices for b in group])
+            atoms = sorted(set().union(*(atoms_of(b) for b in group)))
+            ends = np.cumsum([b.n_points for b in group])
+            rows = [slice(e - b.n_points, e) for b, e in zip(group, ends)]
+            yield idx, atoms, list(zip(group, rows))
 
     # ------------------------------------------------------------------
     # Density-independent matrices
@@ -146,38 +201,43 @@ class MatrixBuilder:
     def kinetic(self) -> np.ndarray:
         """T_mu_nu = (1/2) <grad chi_mu | grad chi_nu> (by parts).
 
-        Under screening, each batch evaluates gradients only for its
-        active atoms and scatter-adds the compact block — the same
-        locality rule every other grid contraction follows.
+        Gradients are evaluated once per point group; each batch's rows
+        (and, under screening, its active columns) are sliced out of the
+        group block and contracted in batch order, so T is summed exactly
+        as a batch-by-batch evaluation would sum it.
         """
         w = self.grid.weights
         t = np.zeros((self.basis.n_basis, self.basis.n_basis))
-        # Gradients are only needed here, once; integrate batch-wise to
-        # bound memory at (batch points x n_basis x 3).
-        for b in self.batches:
-            idx = b.point_indices
-            wb = w[idx]
-            if self.pattern is not None:
-                act = self.pattern.active_functions[b.index]
-                if act.size == 0:
-                    continue
-                _, grads = self.basis.evaluate_with_gradients(
-                    self.grid.points[idx],
-                    atoms=self.pattern.active_atoms[b.index],
-                )
-                grads = grads[:, act, :]
-                sub = np.zeros((act.size, act.size))
-                for k in range(3):
-                    gk = grads[:, :, k]
-                    sub += gk.T @ (gk * wb[:, None])
-                t[np.ix_(act, act)] += sub
-                continue
+        pattern = self.pattern
+
+        def atoms_of(b: GridBatch) -> Optional[Sequence[int]]:
+            if pattern is None:
+                return b.relevant_atoms
+            if pattern.active_functions[b.index].size == 0:
+                return None
+            return pattern.active_atoms[b.index]
+
+        # Gradients are only needed here, once; a group's block is bounded
+        # by _GROUP_LIMIT elements, so memory does not grow with the grid.
+        for idx, atoms, members in self._point_groups(atoms_of):
             _, grads = self.basis.evaluate_with_gradients(
-                self.grid.points[idx], atoms=b.relevant_atoms
+                self.grid.points[idx], atoms=atoms
             )
-            for k in range(3):
-                gk = grads[:, :, k]
-                t += gk.T @ (gk * wb[:, None])
+            for b, rows in members:
+                wb = w[b.point_indices]
+                if pattern is not None:
+                    act = pattern.active_functions[b.index]
+                    gb = grads[rows][:, act, :]
+                    sub = np.zeros((act.size, act.size))
+                    for k in range(3):
+                        gk = gb[:, :, k]
+                        sub += gk.T @ (gk * wb[:, None])
+                    t[np.ix_(act, act)] += sub
+                    continue
+                gb = grads[rows]
+                for k in range(3):
+                    gk = gb[:, :, k]
+                    t += gk.T @ (gk * wb[:, None])
         return symmetrize(0.5 * t)
 
     def nuclear_attraction(self) -> np.ndarray:

@@ -26,10 +26,16 @@ PARTNER_CUTOFF: float = 18.0
 
 
 def _becke_step(mu: np.ndarray, k: int) -> np.ndarray:
-    """Iterated smoothing polynomial p(p(...p(mu))) with p(x)=1.5x-0.5x^3."""
+    """Iterated smoothing polynomial p(p(...p(mu))) with p(x)=1.5x-0.5x^3.
+
+    Written as ``f * (1.5 - 0.5 * f * f)``: ``f**3`` goes through
+    ``pow``, about ten times slower than two multiplies, and this step
+    runs once per partner pair per atom.  The factored form is exactly
+    odd, fixes -1, 0 and 1, and stays within 1e-15 of the ``pow`` form.
+    """
     f = mu
     for _ in range(k):
-        f = 1.5 * f - 0.5 * f**3
+        f = f * (1.5 - 0.5 * f * f)
     return f
 
 
@@ -38,7 +44,7 @@ def _size_adjustment(r_a: float, r_b: float) -> float:
     chi = r_a / r_b
     u = (chi - 1.0) / (chi + 1.0)
     a = u / (u * u - 1.0)
-    return float(np.clip(a, -0.5, 0.5))
+    return min(max(a, -0.5), 0.5)
 
 
 def becke_weights(

@@ -54,6 +54,7 @@ NOTE_KINDS = (
     "worker_crash",
     "phase_work",
     "alert",
+    "journal_truncated",
 )
 
 

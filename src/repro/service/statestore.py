@@ -33,8 +33,10 @@ Design points, modeled on alchemiscale's Neo4j statestore contract
 * **Persistence** is an append-only JSON journal: every transition is
   one line carrying its explicit timestamp, so replaying the journal
   rebuilds the exact store state (same statuses, results, quotas) with
-  no wall-clock dependence.  The journal path honours the repo-wide
-  artifact overwrite guard
+  no wall-clock dependence.  A final line cut short by a crash
+  mid-append is dropped on replay (or kept, if it parses); a malformed
+  newline-terminated line anywhere is corruption and raises.  The
+  journal path honours the repo-wide artifact overwrite guard
   (:func:`repro.utils.artifacts.prepare_artifact_path`).
 
 >>> store = StateStore()                    # in-memory (no journal)
@@ -51,6 +53,7 @@ True
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,7 +211,19 @@ class StateStore:
     # Journal plumbing
     # ------------------------------------------------------------------
     def _replay(self, path: Path) -> None:
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        """Rebuild the state from the journal at *path*.
+
+        Every newline-terminated line must parse.  Text after the last
+        newline is the tail of an append a crash cut short: it is kept
+        (and its newline written) when it parses, and otherwise cut off
+        so the store reopens after the very crash it models.
+        """
+        data = path.read_bytes()
+        cut = data.rfind(b"\n") + 1
+        tail = data[cut:]
+        lines = data[:cut].decode().splitlines()
+        del data  # only the lines stay alive while the state is rebuilt
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -218,6 +233,18 @@ class StateStore:
                     f"corrupt statestore journal {path}:{lineno}: {exc}"
                 ) from None
             self._apply(event)
+        if not tail.strip():
+            return
+        try:
+            event = json.loads(tail.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            os.truncate(path, cut)
+            self._note("journal_truncated", self._now(None), path=str(path),
+                       line=len(lines) + 1, dropped_bytes=len(tail))
+            return
+        self._apply(event)
+        with path.open("a") as fh:
+            fh.write("\n")
 
     def _record(self, event: Dict[str, Any]) -> None:
         self._apply(event)

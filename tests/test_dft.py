@@ -24,11 +24,12 @@ from repro.dft import (
     lda_exchange_correlation,
     lda_xc_kernel,
 )
+from repro.dft.hamiltonian import _GROUP_LIMIT
 from repro.dft.hartree import adams_moulton_cumulative
 from repro.dft.mixing import linear_mix
 from repro.errors import SCFConvergenceError
 from repro.grids import build_grid
-from repro.utils.linalg import density_matrix_from_orbitals
+from repro.utils.linalg import density_matrix_from_orbitals, symmetrize
 
 
 class TestXC:
@@ -229,6 +230,118 @@ class TestMatrixBuilder:
         gs = h2_ground_state
         n = density_on_grid(gs.builder, gs.density_matrix)
         assert n.min() > -1e-10
+
+
+def _per_batch_table(builder):
+    """The chi table evaluated batch by batch over ``relevant_atoms``."""
+    values = np.zeros((builder.grid.n_points, builder.basis.n_basis))
+    for b in builder.batches:
+        idx = b.point_indices
+        values[idx] = builder.basis.evaluate(
+            builder.grid.points[idx], atoms=b.relevant_atoms
+        )
+    return values
+
+
+def _per_batch_kinetic(builder):
+    """T evaluated batch by batch, active atoms and columns under screening."""
+    w = builder.grid.weights
+    pattern = builder.pattern
+    t = np.zeros((builder.basis.n_basis, builder.basis.n_basis))
+    for b in builder.batches:
+        idx = b.point_indices
+        wb = w[idx]
+        if pattern is not None:
+            act = pattern.active_functions[b.index]
+            if act.size == 0:
+                continue
+            _, grads = builder.basis.evaluate_with_gradients(
+                builder.grid.points[idx], atoms=pattern.active_atoms[b.index]
+            )
+            grads = grads[:, act, :]
+            sub = np.zeros((act.size, act.size))
+            for k in range(3):
+                gk = grads[:, :, k]
+                sub += gk.T @ (gk * wb[:, None])
+            t[np.ix_(act, act)] += sub
+            continue
+        _, grads = builder.basis.evaluate_with_gradients(
+            builder.grid.points[idx], atoms=b.relevant_atoms
+        )
+        for k in range(3):
+            gk = grads[:, :, k]
+            t += gk.T @ (gk * wb[:, None])
+    return symmetrize(0.5 * t)
+
+
+@pytest.fixture(scope="module")
+def grouped_substrates(minimal_settings):
+    """Basis and partitioned grid of water and 20-atom polyethylene."""
+    out = {}
+    for name, structure in (
+        ("water", water()),
+        ("pe20", polyethylene(polyethylene_units_for_atoms(20))),
+    ):
+        out[name] = (
+            build_basis(structure),
+            build_grid(structure, minimal_settings.grids, with_partition=True),
+        )
+    return out
+
+
+class TestGroupedBasisEvaluation:
+    """Point-group evaluation is bitwise the per-batch derivation."""
+
+    @pytest.fixture(scope="class")
+    def per_batch(self):
+        """Per-batch (table, T) of a builder, memoized per substrate and
+        threshold: the derivation is the slow path under test."""
+        memo = {}
+
+        def derive(name, builder):
+            key = (name, builder.screening_threshold)
+            if key not in memo:
+                memo[key] = (_per_batch_table(builder), _per_batch_kinetic(builder))
+            return memo[key]
+
+        return derive
+
+    @pytest.mark.parametrize("name", ["water", "pe20"])
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6])
+    def test_table_and_kinetic_bitwise(
+        self, grouped_substrates, per_batch, name, threshold
+    ):
+        basis, grid = grouped_substrates[name]
+        builder = MatrixBuilder(basis, grid, screening_threshold=threshold)
+        assert builder.table_cache_enabled
+        table, kinetic = per_batch(name, builder)
+        assert np.array_equal(builder.basis_values(), table)
+        assert np.array_equal(builder.kinetic(), kinetic)
+
+    @pytest.mark.parametrize("name", ["water", "pe20"])
+    def test_uncached_builder_bitwise(self, grouped_substrates, per_batch, name):
+        basis, grid = grouped_substrates[name]
+        builder = MatrixBuilder(basis, grid, cache_limit=grid.n_points)
+        assert not builder.table_cache_enabled
+        table, kinetic = per_batch(name, builder)
+        with pytest.warns(RuntimeWarning, match="cache limit"):
+            assert np.array_equal(builder.basis_values(), table)
+        assert np.array_equal(builder.kinetic(), kinetic)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-6])
+    def test_groups_tile_batches_under_budget(self, grouped_substrates, threshold):
+        basis, grid = grouped_substrates["pe20"]
+        builder = MatrixBuilder(basis, grid, screening_threshold=threshold)
+        groups = list(builder._point_groups(lambda b: b.relevant_atoms))
+        assert 1 < len(groups) < len(builder.batches)
+        seen = []
+        for idx, atoms, members in groups:
+            assert idx.size * basis.n_basis * 3 <= _GROUP_LIMIT
+            for b, rows in members:
+                assert np.array_equal(idx[rows], b.point_indices)
+                assert set(b.relevant_atoms) <= set(atoms)
+                seen.append(b.index)
+        assert seen == [b.index for b in builder.batches]
 
 
 class TestMixing:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.atoms import hydrogen_molecule, water
+from repro.atoms import (
+    hydrogen_molecule,
+    polyethylene,
+    polyethylene_units_for_atoms,
+    water,
+)
 from repro.config import get_settings
 from repro.errors import GridError
 from repro.grids import (
@@ -17,6 +22,7 @@ from repro.grids import (
     radial_shells_for_species,
 )
 from repro.grids.batching import _attach_relevant_atoms_celllist
+from repro.grids.partition import _becke_step
 
 
 class TestAngularRules:
@@ -100,6 +106,35 @@ class TestBeckeWeights:
             becke_weights(water(), np.zeros((1, 3)), 5)
         with pytest.raises(GridError):
             becke_weights(water(), np.zeros((1, 3)), 0, smoothing=0)
+
+
+class TestBeckeStep:
+    """The pow-free smoothing step against the textbook ``f**3`` form."""
+
+    @staticmethod
+    def _pow_step(mu, k):
+        f = mu
+        for _ in range(k):
+            f = 1.5 * f - 0.5 * f**3
+        return f
+
+    def test_matches_pow_form(self, rng):
+        mu = np.concatenate([rng.uniform(-1.0, 1.0, 50_000),
+                             np.linspace(-1.0, 1.0, 50_001)])
+        for k in (1, 3):
+            assert np.abs(_becke_step(mu, k) - self._pow_step(mu, k)).max() <= 1e-15
+
+    def test_odd_with_fixed_points(self, rng):
+        mu = rng.uniform(-1.0, 1.0, 10_000)
+        assert np.array_equal(_becke_step(-mu, 3), -_becke_step(mu, 3))
+        ends = np.array([-1.0, 0.0, 1.0])
+        assert np.array_equal(_becke_step(ends, 3), ends)
+
+    def test_pe20_partition_of_unity(self, minimal_settings):
+        chain = polyethylene(polyethylene_units_for_atoms(20))
+        points = build_grid(chain, minimal_settings.grids).points[::4]
+        total = sum(becke_weights(chain, points, a) for a in range(chain.n_atoms))
+        assert np.abs(total - 1.0).max() <= 1e-14
 
 
 class TestIntegrationGrid:

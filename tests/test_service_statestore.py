@@ -442,6 +442,73 @@ class TestJournalPersistence:
             assert line == json.dumps(doc, sort_keys=True)
 
 
+class TestTornJournalTail:
+    """A crash mid-append leaves an unterminated final line."""
+
+    @staticmethod
+    def _journal(tmp_path):
+        path = tmp_path / "journal.jsonl"
+        store = make_store(path=path)
+        submit(store, "k1")
+        (task,) = store.claim("w0", now=1.0)
+        return path, store, task
+
+    def test_unparsable_tail_is_truncated_and_noted(self, tmp_path):
+        from repro.obs.telemetry import TelemetrySink
+
+        path, store, _ = self._journal(tmp_path)
+        intact = path.read_bytes()
+        event = json.dumps({"op": "submit", "task": "t-000002"}, sort_keys=True)
+        path.write_bytes(intact + event[:17].encode())
+
+        sink = TelemetrySink()
+        recovered = make_store(path=path, telemetry=sink)
+        assert path.read_bytes() == intact
+        assert recovered.counts() == store.counts()
+        (note,) = [e for e in sink.events if e["kind"] == "journal_truncated"]
+        assert note["line"] == 3 and note["dropped_bytes"] == 17
+
+    def test_truncation_without_sink_is_silent(self, tmp_path):
+        path, _, _ = self._journal(tmp_path)
+        intact = path.read_bytes()
+        path.write_bytes(intact + b'{"op": "comp')
+        make_store(path=path)
+        assert path.read_bytes() == intact
+
+    def test_parsable_tail_is_kept_and_terminated(self, tmp_path):
+        path, store, task = self._journal(tmp_path)
+        store.start(task.task_id, "w0", now=2.0)
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        path.write_bytes(data[:-1])
+
+        recovered = make_store(path=path)
+        assert path.read_bytes() == data
+        assert recovered.get(task.task_id).status == RUNNING
+
+    def test_append_and_replay_after_truncation(self, tmp_path):
+        path, store, task = self._journal(tmp_path)
+        path.write_bytes(path.read_bytes() + b'{"now": 2.0, "op": "sta')
+
+        recovered = make_store(path=path)
+        recovered.start(task.task_id, "w0", now=2.0)
+        recovered.complete(task.task_id, "w0", {"alpha": 1.5}, now=3.0)
+        for line in path.read_text().splitlines():
+            json.loads(line)
+
+        again = make_store(path=path)
+        assert again.get(task.task_id).status == COMPLETE
+        assert again.result_for_key("k1") == {"alpha": 1.5}
+        assert again.counts() == recovered.counts()
+
+    def test_torn_line_before_the_tail_still_raises(self, tmp_path):
+        path, _, _ = self._journal(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0][:10] + "\n" + lines[1] + "\n")
+        with pytest.raises(ServiceError, match=":1:"):
+            make_store(path=path)
+
+
 class TestArtifactGuard:
     """Satellite fix: the overwrite guard covers the journal path."""
 
