@@ -46,6 +46,8 @@ class CPSCFSettings:
 
     max_iterations: int = 40
     response_tolerance: float = 1e-6
+    #: Step along the newest residual when the response DIIS system is
+    #: singular: the same fallback ``SCFSettings.mixing_factor`` is for SCF.
     mixing_factor: float = 0.5
 
 

@@ -12,8 +12,11 @@ For a unit electric field along direction J the bare perturbation is
 * **H phase** — response Hamiltonian (Eq. 10) including the xc kernel
   term of Eq. (12);
 
-iterated with linear mixing until the response density matrix is
-stationary.  Phase names deliberately match the paper's artifact
+iterated until the response density matrix is stationary, with Pulay
+(DIIS) mixing on the pair ``(P^(1)_new, P^(1)_new - P^(1))``.  The first
+cycle starts from ``P^(1) = 0``, whose Sumup, Rho and H would compute
+exact zeros, so it skips them and goes straight to the DM phase with
+``H^(1) = h^(1)``.  Phase names deliberately match the paper's artifact
 (``DM``, ``Sumup``, ``Rho``, ``H``).
 """
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.config import CPSCFSettings
 from repro.constants import EIGENVALUE_GAP_FLOOR
+from repro.dft.mixing import PulayMixer
 from repro.dft.scf import GroundState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -143,6 +147,7 @@ class DFPTSolver:
         gs = self.gs
         cfg = self.settings
         h1_ext = -gs.dipoles[direction]
+        mixer = PulayMixer(linear_factor=cfg.mixing_factor)
 
         p1 = np.zeros_like(gs.density_matrix)
         c1 = np.zeros_like(self._c_occ)
@@ -163,17 +168,25 @@ class DFPTSolver:
                 direction=direction,
                 cycle=iteration,
             ):
-                with self.timer.phase("Sumup"):
-                    n1 = self.backend.density_on_grid(p1)
-                with self.timer.phase("Rho"):
-                    v1_h = gs.solver.hartree_potential(n1)
-                with self.timer.phase("H"):
-                    v1_xc = self._fxc * n1
-                    v1_total = v1_h + v1_xc
-                    h1 = h1_ext + self.backend.potential_matrix(v1_total)
+                if iteration == 1:
+                    # P^(1) = 0: Sumup, Rho and H would give exact zeros.
+                    # ``+ 0.0`` turns h^(1)'s -0.0 into +0.0, as adding
+                    # the zero matrix did.
+                    h1 = h1_ext + 0.0
+                else:
+                    with self.timer.phase("Sumup"):
+                        n1 = self.backend.density_on_grid(p1)
+                    with self.timer.phase("Rho"):
+                        v1_h = gs.solver.hartree_potential(n1)
+                    with self.timer.phase("H"):
+                        v1_xc = self._fxc * n1
+                        v1_total = v1_h + v1_xc
+                        h1 = h1_ext + self.backend.potential_matrix(v1_total)
                 with self.timer.phase("DM"):
                     _, c1, p1_new = self._first_order_dm(h1)
 
+            # Fault check sits before the DIIS push so a rolled-back
+            # cycle leaves the mixer history untouched (bit-exactness).
             if self.fault_injector is not None and self.fault_injector.cycle_fault(
                 f"cpscf{direction}", iteration, attempt
             ):
@@ -189,7 +202,7 @@ class DFPTSolver:
             attempt = 0
 
             residual = float(np.abs(p1_new - p1).max())
-            p1 = p1 + cfg.mixing_factor * (p1_new - p1)
+            p1 = mixer.push(p1_new, p1_new - p1)
             if residual < cfg.response_tolerance:
                 n1 = self.backend.density_on_grid(p1)
                 if self.verifier is not None:

@@ -81,13 +81,12 @@ def adams_moulton_cumulative(f: np.ndarray, df: np.ndarray) -> np.ndarray:
     out[1] = (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]) / 24.0
     out[2] = out[1] + (-g[0] + 13.0 * g[1] + 13.0 * g[2] - g[3]) / 24.0
     if n >= 4:
-        # Vectorized would hide the recurrence; the dependence chain is
-        # genuine (each step needs the previous), matching the paper's
-        # description of the integrator.
-        for k in range(3, n):
-            out[k] = out[k - 1] + (
-                9.0 * g[k] + 19.0 * g[k - 1] - 5.0 * g[k - 2] + g[k - 3]
-            ) / 24.0
+        # The increments are independent; only the running sum is a
+        # recurrence.  ``np.add.accumulate`` adds strictly in sequence
+        # (no pairwise reordering), so every F[k] = F[k-1] + inc[k] is
+        # the same addition, in the same order, as a plain loop.
+        inc = (9.0 * g[3:] + 19.0 * g[2:-1] - 5.0 * g[1:-2] + g[:-3]) / 24.0
+        out[2:] = np.add.accumulate(np.concatenate([out[2:3], inc]), axis=0)
     return out
 
 

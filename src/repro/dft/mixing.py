@@ -11,10 +11,11 @@ class PulayMixer:
     """Pulay's direct inversion in the iterative subspace (DIIS).
 
     Operates on flattened trial/residual pairs; the caller decides what
-    the residual is (we use the Fock-matrix commutator ``FPS - SPF`` in
-    the SCF driver).  Falls back to plain linear mixing while the
-    history is shorter than two entries or if the DIIS system is
-    singular.
+    the residual is (the SCF driver uses the Fock-matrix commutator
+    ``FPS - SPF``, the CPSCF loop the response density-matrix change
+    ``P1_new - P1``).  Returns the first trial unchanged, and takes a
+    linear step of ``linear_factor`` along the newest residual if the
+    DIIS system is singular.
     """
 
     def __init__(self, history: int = 6, linear_factor: float = 0.35) -> None:

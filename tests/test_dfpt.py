@@ -4,8 +4,10 @@ to first order, validated against finite-field references."""
 import numpy as np
 import pytest
 
+import repro.core.simulator as simulator
 from repro.atoms import hydrogen_molecule, water
-from repro.config import CPSCFSettings
+from repro.config import CPSCFSettings, get_settings
+from repro.core import PerturbationSimulator
 from repro.dfpt import (
     DFPTSolver,
     finite_difference_polarizability,
@@ -100,3 +102,72 @@ class TestPolarizability:
             finite_difference_polarizability(
                 hydrogen_molecule(), minimal_settings, step=0.0
             )
+
+
+class TestDIISLoop:
+    """Pulay (DIIS) mixing on the response density matrix."""
+
+    @pytest.mark.parametrize(
+        "name, scf_iterations, cpscf_iterations",
+        [("h2", 6, [3, 3, 5]), ("water", 12, [8, 7, 8])],
+    )
+    def test_pinned_cycle_counts(
+        self, request, name, scf_iterations, cpscf_iterations
+    ):
+        gs = request.getfixturevalue(f"{name}_ground_state")
+        assert gs.iterations == scf_iterations
+        results = DFPTSolver(gs).solve_all()
+        assert [r.iterations for r in results] == cpscf_iterations
+
+    @pytest.mark.parametrize("name", ["h2", "water"])
+    def test_alpha_near_tight_solve(self, request, name, minimal_settings):
+        gs = request.getfixturevalue(f"{name}_ground_state")
+        alpha = polarizability_tensor(gs, minimal_settings.cpscf)
+        tight = CPSCFSettings(response_tolerance=1e-11, max_iterations=400)
+        alpha_tight = polarizability_tensor(gs, tight)
+        assert np.abs(alpha - alpha_tight).max() < 5e-7
+
+
+class CountingTimer(simulator.PhaseTimer):
+    """A PhaseTimer that remembers every instance made."""
+
+    made = []
+
+    def __init__(self):
+        super().__init__()
+        CountingTimer.made.append(self)
+
+
+@pytest.fixture(scope="module", params=[0.0, 1e-6], ids=["dense", "screened"])
+def water_physics(request):
+    """One full water ``run_physics()`` plus the PhaseTimer it used."""
+    mp = pytest.MonkeyPatch()
+    mp.setattr(simulator, "PhaseTimer", CountingTimer)
+    CountingTimer.made.clear()
+    try:
+        settings = get_settings("minimal", screening_threshold=request.param)
+        result = PerturbationSimulator(water(), settings).run_physics()
+    finally:
+        mp.undo()
+    (timer,) = CountingTimer.made
+    return result, timer
+
+
+class TestZeroWorkFirstCycle:
+    """Cycle 1 starts from P^(1) = 0 and skips Sumup, Rho and H."""
+
+    def test_zero_dm_gives_zero_work(self, water_physics):
+        result, _ = water_physics
+        gs = result.ground_state
+        backend = gs.builder.backend
+        n1 = backend.density_on_grid(np.zeros_like(gs.density_matrix))
+        assert not np.any(n1)
+        assert not np.any(gs.solver.hartree_potential(np.zeros_like(gs.density)))
+        assert not np.any(backend.potential_matrix(np.zeros_like(gs.density)))
+
+    def test_one_skip_per_direction(self, water_physics):
+        result, timer = water_physics
+        cycles = sum(result.cpscf_iterations_per_direction)
+        assert timer.visits("DM") == cycles
+        for phase in ("Sumup", "Rho", "H"):
+            assert timer.visits(phase) == cycles - 3

@@ -93,6 +93,37 @@ class TestAdamsMoulton:
         with pytest.raises(ValueError):
             adams_moulton_cumulative(np.zeros(5), np.zeros(4))
 
+    @staticmethod
+    def _loop_reference(f, df):
+        """The recurrence written out one step at a time."""
+        g = f * df.reshape(-1, *([1] * (f.ndim - 1)))
+        out = np.zeros_like(g)
+        n = g.shape[0]
+        if n == 2:
+            out[1] = 0.5 * (g[0] + g[1])
+            return out
+        if n == 3:
+            out[1] = (5.0 * g[0] + 8.0 * g[1] - g[2]) / 12.0
+            out[2] = out[1] + (5.0 * g[2] + 8.0 * g[1] - g[0]) / 12.0
+            return out
+        out[1] = (9.0 * g[0] + 19.0 * g[1] - 5.0 * g[2] + g[3]) / 24.0
+        out[2] = out[1] + (-g[0] + 13.0 * g[1] + 13.0 * g[2] - g[3]) / 24.0
+        for k in range(3, n):
+            out[k] = out[k - 1] + (
+                9.0 * g[k] + 19.0 * g[k - 1] - 5.0 * g[k - 2] + g[k - 3]
+            ) / 24.0
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 100])
+    @pytest.mark.parametrize("channels", [None, 25])
+    def test_bitwise_equal_to_plain_loop(self, n, channels):
+        rng = np.random.default_rng(n)
+        shape = (n,) if channels is None else (n, channels)
+        f = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        df = rng.uniform(0.01, 3.0, n)
+        out = adams_moulton_cumulative(f, df)
+        assert np.array_equal(out, self._loop_reference(f, df))
+
 
 class TestMultipoleSolver:
     def test_hartree_energy_of_gaussian(self, minimal_settings):

@@ -264,23 +264,31 @@ class TestDriverCheckpointRestart:
         assert np.array_equal(gs.density_matrix, h2_ground_state.density_matrix)
         assert gs.iterations == h2_ground_state.iterations
 
-    def test_cpscf_restart_is_bit_exact(self, minimal_settings, h2_ground_state):
-        reference = DFPTSolver(
-            h2_ground_state, minimal_settings.cpscf
-        ).solve_direction(2)
+    @staticmethod
+    def _assert_cpscf_restart_bit_exact(settings, gs, cycle):
+        """A fault at ``cycle`` of direction 2 changes nothing but restarts."""
+        reference = DFPTSolver(gs, settings.cpscf).solve_direction(2)
+        assert reference.iterations > cycle
         plan = FaultPlan(
-            schedule=[ScheduledFault("cycle_fault", 1, site="cpscf2")]
+            schedule=[ScheduledFault("cycle_fault", cycle, site="cpscf2")]
         )
         faulted = DFPTSolver(
-            h2_ground_state,
-            minimal_settings.cpscf,
-            fault_injector=CycleFaultInjector(plan),
+            gs, settings.cpscf, fault_injector=CycleFaultInjector(plan)
         ).solve_direction(2)
         assert faulted.restarts == 1
         assert faulted.iterations == reference.iterations
         assert np.array_equal(
             faulted.response_density_matrix, reference.response_density_matrix
         )
+
+    def test_cpscf_restart_is_bit_exact(self, minimal_settings, h2_ground_state):
+        self._assert_cpscf_restart_bit_exact(minimal_settings, h2_ground_state, 1)
+
+    def test_cpscf_restart_with_diis_history_is_bit_exact(
+        self, minimal_settings, h2_ground_state
+    ):
+        """Cycle 3: the DIIS history already holds two entries."""
+        self._assert_cpscf_restart_bit_exact(minimal_settings, h2_ground_state, 3)
 
     def test_unsurvivable_cycle_raises(self, minimal_settings):
         plan = FaultPlan(
